@@ -1,11 +1,14 @@
-// Figure 13 — throughput (events/second) of the simulated DSPE cluster for
-// KG, PKG, D-C, W-C, and SG on ZF streams with z in {1.4, 1.7, 2.0}
-// (n = 80 workers, 48 sources, |K| = 1e4, m = 2e6 at paper scale).
+// Figure 13 — throughput (events/second) of the DSPE cluster for KG, PKG,
+// D-C, W-C, and SG on ZF streams with z in {1.4, 1.7, 2.0} (n = 80 workers,
+// 48 sources, |K| = 1e4, m = 2e6 at paper scale).
 //
-// The cluster model is the queueing network described in
-// slb/sim/dspe_simulator.h (the Apache Storm stand-in; see DESIGN.md). Each
-// sweep cell is one RunDspeSimulation; the throughput_per_s / makespan_s /
-// completed payload columns carry the figure.
+// Each sweep cell runs one topology (bench/common/dspe_cell): the stream
+// split round-robin over the sources, routed by the cell's grouping to the
+// workers. `--engine sim` runs it on ExecuteTopology, the Apache Storm
+// stand-in of slb/dspe/topology.h (credit windows, one shared transport
+// stage, FIFO workers; see docs/ARCHITECTURE.md); `--engine threaded` on the
+// real runtime. The throughput_per_s / makespan_s / completed payload
+// columns carry the figure; final_imbalance is the workers' load imbalance.
 //
 // Expected shape: KG lowest and degrading with skew; PKG in between, also
 // degrading; D-C and W-C matching SG's (transport-bound) plateau. Paper

@@ -1,9 +1,11 @@
-// Figure 14 — end-to-end latency on the simulated DSPE cluster for KG, PKG,
-// D-C, W-C, and SG on ZF streams with z in {1.4, 1.7, 2.0} (n = 80,
-// 48 sources). The lat_* payload columns are the tuple-level latency
-// snapshot; the worker_avg_* metric columns report, as the paper does, the
-// maximum of the per-worker average latencies plus the 50th/95th/99th
-// percentiles across workers.
+// Figure 14 — end-to-end latency on the DSPE cluster for KG, PKG, D-C, W-C,
+// and SG on ZF streams with z in {1.4, 1.7, 2.0} (n = 80, 48 sources), on
+// the same topology and engines as Fig. 13 (bench/common/dspe_cell). The
+// lat_* payload columns are the tuple-level latency snapshot; under
+// `--engine sim` the worker_avg_* metric columns report, as the paper does,
+// the maximum of the per-worker average latencies
+// (ComponentStats::task_latency_avg_ms) plus the 50th/95th/99th percentiles
+// across workers.
 //
 // Expected shape: KG's hot-worker queue inflates its max latency by multiples
 // of SG's; PKG sits in between; D-C and W-C track SG closely. Paper headline:
@@ -78,8 +80,8 @@ int Main(int argc, char** argv) {
   cell.runtime.wait_strategy = wait_strategy.value();
   cell.runtime.pin_threads = pin_threads;
   cell.throughput = false;  // Fig. 13 reports throughput; this figure latency
-  // Per-worker-average percentiles come from the queueing model; the
-  // threaded engine reports measured tuple-level percentiles instead.
+  // Per-worker-average percentiles come from ExecuteTopology's per-task
+  // latencies; the threaded engine reports measured tuple-level percentiles.
   cell.worker_latency = engine.value() == DspeEngine::kSim;
 
   SweepGrid grid;

@@ -1,22 +1,23 @@
-// Sweep cell runner for the cluster-level experiments (Figs. 13-14). Each
-// cell runs one of two engines:
+// Sweep cell runner for the cluster-level experiments (Figs. 13-14). Every
+// cell builds the same topology — the scenario's stream split round-robin
+// over the sources, routed by the cell's grouping to `n` worker bolts — and
+// runs it on one of two engines:
 //
-//   * kSim       — RunDspeSimulation, the queueing-network Storm stand-in
-//                  (modeled service times; deterministic, fast);
+//   * kSim       — ExecuteTopology, the discrete-event Storm stand-in
+//                  (modeled service and transport times; deterministic);
 //   * kThreaded  — ExecuteTopologyThreaded, the real multi-threaded runtime
 //                  (SPSC rings, credit backpressure): throughput and latency
 //                  are *measured* on the host, not modeled.
 //
-// Either way the cell reports throughput counters and latency snapshots in
-// the cell payload (the partition-sim fields stay zero — these experiments
-// measure the cluster, not routing imbalance).
+// Either way the cell reports throughput counters, latency snapshots and the
+// workers' final load vector and imbalance in the cell payload. The engines
+// route identically, so the imbalance columns agree between them.
 
 #pragma once
 
 #include <string>
 
 #include "slb/dspe/runtime.h"
-#include "slb/sim/dspe_simulator.h"
 #include "slb/sim/sweep.h"
 
 namespace slb::bench {
@@ -34,12 +35,6 @@ Result<DspeEngine> ParseDspeEngine(const std::string& text);
 Result<WaitStrategy> ParseWaitStrategy(const std::string& text);
 
 struct DspeCellOptions {
-  /// Template config for the cluster's service parameters. Everything
-  /// workload- or cell-shaped is overwritten per cell: algorithm,
-  /// partitioner options, worker count, source count, seed, the Zipf
-  /// exponent (SweepScenario::param), and the message/key counts (read
-  /// from the scenario's generator, the single source of truth).
-  DspeConfig base;
   DspeEngine engine = DspeEngine::kSim;
   /// kThreaded only: executor threads / ring sizes / emit batch.
   TopologyRuntimeOptions runtime;

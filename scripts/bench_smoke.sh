@@ -175,6 +175,55 @@ else
   threaded_failures=1
 fi
 
+# Paper-shape guard for Fig. 13 at z=2.0. Both engines run the same
+# topology, so on the sim table (modeled) throughput must order
+# KG < PKG < min(D-C, W-C) — the paper's headline — and on the sim and the
+# threaded table the workers' final_imbalance must be larger under KG than
+# under D-C. Catches a cluster model or payload wiring that stops showing
+# the effect (e.g. imbalance columns stuck at zero). Columns are resolved by
+# name from the table header.
+shape_failures=0
+check_fig13_shape() {  # <tsv> <check throughput order: 0|1>
+  awk -F'\t' -v check_tput="$2" '
+    /^#scenario\t/ {
+      for (i = 1; i <= NF; i++) {
+        if ($i == "throughput_per_s") t = i
+        if ($i == "final_imbalance") f = i
+      }
+      next
+    }
+    /^#/ || /^[[:space:]]*$/ { next }
+    $1 == "z=2.0" { tput[$3] = $t + 0; imb[$3] = $f + 0 }
+    END {
+      if (!f || (check_tput && !t)) { print "missing columns"; exit }
+      if (!("KG" in imb) || !("PKG" in imb) || !("D-C" in imb) || !("W-C" in imb)) {
+        print "missing z=2.0 rows"; exit
+      }
+      if (imb["KG"] <= imb["D-C"])
+        print "final_imbalance KG=" imb["KG"] " <= D-C=" imb["D-C"]
+      best = tput["D-C"] < tput["W-C"] ? tput["D-C"] : tput["W-C"]
+      if (check_tput && !(tput["KG"] < tput["PKG"] && tput["PKG"] < best))
+        print "throughput KG=" tput["KG"] " PKG=" tput["PKG"] \
+              " D-C=" tput["D-C"] " W-C=" tput["W-C"]
+    }' "$1"
+}
+for shape_case in "$OUT_DIR/bench_fig13_throughput.tsv:1" "$THREADED_TSV:0"; do
+  shape_tsv="${shape_case%:*}"
+  if [ ! -f "$shape_tsv" ]; then
+    echo "FAIL  paper shape: no result table at $shape_tsv" >&2
+    shape_failures=$((shape_failures + 1))
+    continue
+  fi
+  bad_shape="$(check_fig13_shape "$shape_tsv" "${shape_case##*:}")"
+  if [ -n "$bad_shape" ]; then
+    echo "FAIL  paper shape ($(basename "$shape_tsv"), z=2.0):" \
+         "${bad_shape//$'\n'/; }" >&2
+    shape_failures=$((shape_failures + 1))
+  else
+    echo "OK    paper shape ($(basename "$shape_tsv"), z=2.0)"
+  fi
+done
+
 # Perf-trajectory soft guard (scripts/bench_compare.py + BENCH_runtime.json):
 # ratio-checks the threaded fig13 table against the recorded baseline. At
 # the smoke budget the absolute numbers are far from the recorded ones, so
@@ -373,6 +422,9 @@ fi
 if [ "$threaded_failures" -gt 0 ]; then
   echo "threaded-engine perf guard FAILED ($threaded_failures problems)" >&2
 fi
+if [ "$shape_failures" -gt 0 ]; then
+  echo "fig13 paper-shape guard FAILED ($shape_failures problems)" >&2
+fi
 if [ "$rescale_failures" -gt 0 ]; then
   echo "elastic-rescale migration guard FAILED ($rescale_failures problems)" >&2
 fi
@@ -388,4 +440,4 @@ fi
 if [ "$micro_runtime_failures" -gt 0 ]; then
   echo "runtime micro-bench guard FAILED ($micro_runtime_failures problems)" >&2
 fi
-exit "$(((failures + headroom_failures + threaded_failures + rescale_failures + threaded_rescale_failures + cost_failures + compare_failures + micro_runtime_failures) > 0 ? 1 : 0))"
+exit "$(((failures + headroom_failures + threaded_failures + shape_failures + rescale_failures + threaded_rescale_failures + cost_failures + compare_failures + micro_runtime_failures) > 0 ? 1 : 0))"

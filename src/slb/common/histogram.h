@@ -1,7 +1,7 @@
 // Streaming statistics and exact-percentile histograms.
 //
-// Used by the DSPE simulator and threaded runtime (latency percentiles,
-// Fig. 14) and by test assertions on distributions. Two flavours:
+// Used by both DSPE engines (latency percentiles, Fig. 14) and by test
+// assertions on distributions. Two flavours:
 //   * RunningStats  — O(1) memory mean/variance/min/max (Welford).
 //   * Histogram     — stores samples, exact quantiles; optionally reservoir-
 //                     subsampled past a cap so unbounded streams stay bounded.

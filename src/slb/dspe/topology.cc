@@ -43,7 +43,6 @@ struct InFlight {
 
 struct Task {
   uint32_t component = 0;
-  uint32_t index = 0;  // instance index within the component
   bool busy = false;
   std::deque<InFlight> queue;
   // One sender-local partitioner per outgoing edge of the component.
@@ -51,6 +50,7 @@ struct Task {
   std::unique_ptr<Spout> spout;
   std::unique_ptr<Bolt> bolt;
   uint64_t processed = 0;
+  RunningStats latency_ms;  // root emission -> completion here (bolts)
   // Spout-only:
   uint32_t credits = 0;
   bool exhausted = false;
@@ -62,12 +62,18 @@ struct Root {
   uint32_t spout_task = 0;
 };
 
-enum class EventType : uint8_t { kSpoutEmit, kTaskDone };
+// A routed copy waiting in the shared transport stage.
+struct Transfer {
+  uint32_t target = 0;
+  InFlight in_flight;
+};
+
+enum class EventType : uint8_t { kTransportDone, kTaskDone };
 
 struct Event {
   double time_s;
   EventType type;
-  uint32_t task;
+  uint32_t task;  // meaningful for kTaskDone
   bool operator>(const Event& other) const { return time_s > other.time_s; }
 };
 
@@ -81,8 +87,9 @@ class Collector final : public OutputCollector {
 
 Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
                                       const TopologyOptions& options) {
-  if (options.spout_service_ms <= 0 || options.bolt_service_ms <= 0) {
-    return Status::InvalidArgument("service times must be positive");
+  if (options.bolt_service_ms <= 0 || options.transport_rate_per_s <= 0) {
+    return Status::InvalidArgument(
+        "bolt_service_ms and transport_rate_per_s must be positive");
   }
   if (options.max_pending_per_spout < 1) {
     return Status::InvalidArgument("max_pending_per_spout must be >= 1");
@@ -100,7 +107,6 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
     for (uint32_t i = 0; i < components[c].parallelism; ++i) {
       Task task;
       task.component = c;
-      task.index = i;
       if (components[c].is_spout) {
         task.spout = topology.spouts[components[c].decl_index].factory(i);
         task.credits = options.max_pending_per_spout;
@@ -128,81 +134,96 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
   }
 
   // --- Event loop. ----------------------------------------------------------
-  const double spout_service_s = options.spout_service_ms / 1e3;
   const double bolt_service_s = options.bolt_service_ms / 1e3;
+  const double transport_service_s = 1.0 / options.transport_rate_per_s;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
+  std::deque<Transfer> transport;
+  bool transport_busy = false;
   std::vector<Root> roots;
   Histogram latency_ms(1 << 18, options.seed ^ 0xabcdULL);
   TopologyStats stats;
   double now_s = 0.0;
   double last_ack_s = 0.0;
 
-  // Routes `tuple` along every outgoing edge of `task`; returns copies made.
+  // Routes `tuple` along every outgoing edge of `task` into the transport
+  // stage; returns the copies made.
   auto route_downstream = [&](Task& task, const TopologyTuple& tuple,
                               uint64_t root) {
     const PlannedComponent& comp = components[task.component];
-    uint64_t copies = 0;
     for (size_t e = 0; e < comp.outputs.size(); ++e) {
-      const PlannedEdge& edge = comp.outputs[e];
       const uint32_t idx = task.partitioners[e]->Route(tuple.key);
-      const uint32_t target = components[edge.to_component].first_task + idx;
-      tasks[target].queue.push_back(InFlight{tuple, root});
-      ++copies;
-      if (!tasks[target].busy) {
-        tasks[target].busy = true;
-        events.push(Event{now_s + bolt_service_s, EventType::kTaskDone, target});
-      }
+      const uint32_t target =
+          components[comp.outputs[e].to_component].first_task + idx;
+      transport.push_back(Transfer{target, InFlight{tuple, root}});
     }
-    return copies;
+    if (!transport_busy && !transport.empty()) {
+      transport_busy = true;
+      events.push(Event{now_s + transport_service_s,
+                        EventType::kTransportDone, 0});
+    }
+    return static_cast<uint64_t>(comp.outputs.size());
   };
 
-  auto maybe_schedule_spout = [&](uint32_t task_id) {
-    Task& task = tasks[task_id];
-    if (task.busy || task.exhausted || task.credits == 0) return;
-    task.busy = true;
-    events.push(Event{now_s + spout_service_s, EventType::kSpoutEmit, task_id});
-  };
-
+  // Records a completed tree and returns its credit to the spout.
   auto ack_root = [&](uint64_t root_id) {
-    Root& root = roots[root_id];
+    const Root& root = roots[root_id];
     latency_ms.Add((now_s - root.emit_time_s) * 1e3);
     ++stats.roots_acked;
     last_ack_s = now_s;
-    Task& spout_task = tasks[root.spout_task];
-    ++spout_task.credits;
-    maybe_schedule_spout(root.spout_task);
+    ++tasks[root.spout_task].credits;
+  };
+
+  // A spout emits instantly for as long as it holds credits.
+  auto try_emit = [&](uint32_t task_id) {
+    Task& task = tasks[task_id];
+    while (!task.exhausted && task.credits > 0) {
+      TopologyTuple tuple;
+      if (!task.spout->NextTuple(&tuple)) {
+        task.exhausted = true;
+        break;
+      }
+      ++task.processed;
+      ++stats.tuples_processed;
+      --task.credits;
+      roots.push_back(Root{now_s, 0, task_id});
+      const uint64_t root_id = roots.size() - 1;
+      roots[root_id].pending = route_downstream(task, tuple, root_id);
+      if (roots[root_id].pending == 0) ack_root(root_id);  // no consumers
+    }
   };
 
   for (uint32_t t = 0; t < tasks.size(); ++t) {
-    if (tasks[t].spout != nullptr) maybe_schedule_spout(t);
+    if (tasks[t].spout != nullptr) try_emit(t);
   }
 
   while (!events.empty()) {
     const Event ev = events.top();
     events.pop();
     now_s = ev.time_s;
-    Task& task = tasks[ev.task];
 
-    if (ev.type == EventType::kSpoutEmit) {
-      task.busy = false;
-      TopologyTuple tuple;
-      if (!task.spout->NextTuple(&tuple)) {
-        task.exhausted = true;
-        continue;
+    if (ev.type == EventType::kTransportDone) {
+      // The head copy leaves the transport stage for its target's queue.
+      SLB_CHECK(!transport.empty());
+      const Transfer transfer = transport.front();
+      transport.pop_front();
+      Task& target = tasks[transfer.target];
+      target.queue.push_back(transfer.in_flight);
+      if (!target.busy) {
+        target.busy = true;
+        events.push(Event{now_s + bolt_service_s, EventType::kTaskDone,
+                          transfer.target});
       }
-      ++task.processed;
-      ++stats.tuples_processed;
-      --task.credits;
-      roots.push_back(Root{now_s, 0, ev.task});
-      const uint64_t root_id = roots.size() - 1;
-      const uint64_t copies = route_downstream(task, tuple, root_id);
-      roots[root_id].pending = copies;
-      if (copies == 0) ack_root(root_id);  // spout with no consumers
-      maybe_schedule_spout(ev.task);
+      if (!transport.empty()) {
+        events.push(Event{now_s + transport_service_s,
+                          EventType::kTransportDone, 0});
+      } else {
+        transport_busy = false;
+      }
       continue;
     }
 
     // kTaskDone: the head-of-queue tuple finishes processing at this bolt.
+    Task& task = tasks[ev.task];
     SLB_CHECK(!task.queue.empty());
     const InFlight in_flight = task.queue.front();
     task.queue.pop_front();
@@ -212,15 +233,20 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
       return Status::FailedPrecondition(
           "tuple budget exceeded; emission loop in topology?");
     }
+    task.latency_ms.Add((now_s - roots[in_flight.root].emit_time_s) * 1e3);
 
     Collector collector;
     task.bolt->Execute(in_flight.tuple, &collector);
-    Root& root = roots[in_flight.root];
     for (const TopologyTuple& out : collector.emitted) {
-      root.pending += route_downstream(task, out, in_flight.root);
+      roots[in_flight.root].pending +=
+          route_downstream(task, out, in_flight.root);
     }
+    Root& root = roots[in_flight.root];
     SLB_CHECK(root.pending > 0);
-    if (--root.pending == 0) ack_root(in_flight.root);
+    if (--root.pending == 0) {
+      ack_root(in_flight.root);
+      try_emit(root.spout_task);
+    }
 
     if (!task.queue.empty()) {
       events.push(Event{now_s + bolt_service_s, EventType::kTaskDone, ev.task});
@@ -248,12 +274,14 @@ Result<TopologyStats> ExecuteTopology(const TopologyBuilder::Topology& topology,
     }
     cs.tuples_processed = total;
     cs.task_loads.resize(comp.parallelism, 0.0);
+    cs.task_latency_avg_ms.resize(comp.parallelism, 0.0);
     double max_load = 0.0;
     for (uint32_t i = 0; i < comp.parallelism; ++i) {
       const Task& task = tasks[comp.first_task + i];
       cs.task_loads[i] = total > 0 ? static_cast<double>(task.processed) /
                                          static_cast<double>(total)
                                    : 0.0;
+      cs.task_latency_avg_ms[i] = task.latency_ms.mean();
       max_load = std::max(max_load, cs.task_loads[i]);
       if (task.bolt != nullptr) cs.state_entries += task.bolt->StateEntries();
     }

@@ -12,14 +12,27 @@
 //          .Input("words", Grouping::DChoices());
 //   Result<TopologyStats> stats = ExecuteTopology(builder.Build(), options);
 //
-// Execution semantics (mirroring Storm with max-spout-pending acking):
-//   * every task (spout or bolt instance) is a FIFO queue with a
-//     deterministic per-tuple service time;
-//   * a spout may have at most `max_pending` tuple *trees* in flight; the
-//     tree is acked when the root tuple and every descendant emitted while
-//     processing it have been fully processed;
+// Execution semantics (mirroring Storm with max-spout-pending acking; the
+// stand-in for the paper's cluster in Figs. 13-14):
+//
+//   spouts --(credit window)--> transport stage --> bolt task FIFO queues
+//
+//   * a spout emits at no cost while it holds credits: it may have at most
+//     `max_pending_per_spout` tuple *trees* in flight, and a tree is acked
+//     when the root tuple and every descendant emitted while processing it
+//     have been fully processed;
+//   * every routed copy (spout- or bolt-emitted) passes through one shared
+//     FIFO server of rate `transport_rate_per_s` — the framework's per-tuple
+//     emission / serialization / dispatch cost, which bounds the throughput
+//     of a *balanced* topology (the paper's SG plateau);
+//   * every bolt task is a FIFO queue with a deterministic per-tuple service
+//     time `bolt_service_ms`;
 //   * each upstream task owns a sender-local partitioner per outgoing edge
 //     (the paper's Sec. III: local load estimates, shared hash functions).
+//
+// Under imbalance the hottest task's queue absorbs the credit window, which
+// caps throughput at service_rate / max_share and inflates latency towards
+// window * service_time — the mechanism the paper measures on its cluster.
 
 #pragma once
 
@@ -151,10 +164,12 @@ class TopologyBuilder {
   Topology topology_;
 };
 
-/// Engine knobs (the cluster model; defaults match sim/dspe_simulator).
+/// Engine knobs. The defaults are the calibrated cluster of Figs. 13-14: the
+/// paper's 1 ms injected CPU per tuple plus framework cost, and an aggregate
+/// emission capacity that sets the SG plateau.
 struct TopologyOptions {
-  double spout_service_ms = 0.3;  // per-tuple emission cost at the spout
-  double bolt_service_ms = 1.0;   // per-tuple processing cost at every bolt
+  double bolt_service_ms = 1.5;        // per-tuple processing cost per bolt
+  double transport_rate_per_s = 3300;  // shared per-copy emission capacity
   uint32_t max_pending_per_spout = 70;
   uint64_t hash_seed = 42;
   uint64_t seed = 42;
@@ -171,6 +186,10 @@ struct ComponentStats {
   double imbalance = 0.0;
   /// Total state entries across this component's tasks (bolts only).
   size_t state_entries = 0;
+  /// Per task, the mean time from root emission to completion at that task,
+  /// ms (0 for spout tasks and idle tasks). Filled by ExecuteTopology only;
+  /// the threaded engine leaves it empty.
+  std::vector<double> task_latency_avg_ms;
 };
 
 /// Outcome of a live elastic rescale (ExecuteTopologyThreaded with a

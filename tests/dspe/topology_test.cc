@@ -6,8 +6,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <utility>
+#include <vector>
 
 #include "slb/common/rng.h"
+#include "slb/dspe/plan.h"
+#include "slb/sim/partition_simulator.h"
+#include "slb/workload/stream_generator.h"
 #include "slb/workload/zipf.h"
 
 namespace slb {
@@ -66,17 +71,82 @@ class FanoutBolt final : public Bolt {
   int fanout_;
 };
 
+// Emits its round-robin share of a shared key vector (positions offset,
+// offset + stride, ...): the sender interleave RunPartitionSimulation models.
+class VectorSpout final : public Spout {
+ public:
+  VectorSpout(std::shared_ptr<const std::vector<uint64_t>> keys,
+              uint64_t offset, uint64_t stride)
+      : keys_(std::move(keys)), pos_(offset), stride_(stride) {}
+
+  bool NextTuple(TopologyTuple* out) override {
+    if (pos_ >= keys_->size()) return false;
+    out->key = (*keys_)[pos_];
+    out->value = 1;
+    pos_ += stride_;
+    return true;
+  }
+
+ private:
+  std::shared_ptr<const std::vector<uint64_t>> keys_;
+  uint64_t pos_;
+  uint64_t stride_;
+};
+
 TopologyOptions FastOptions() {
   TopologyOptions options;
-  options.spout_service_ms = 0.01;
+  options.transport_rate_per_s = 1e5;  // 0.01 ms per routed copy
   options.bolt_service_ms = 0.05;
   options.max_pending_per_spout = 100;
   return options;
 }
 
+// The Figs. 13-14 cluster shape at test scale: Zipf sources -> workers, with
+// 1 ms per tuple at every worker and a 4000/s transport stage.
+TopologyOptions ClusterOptions() {
+  TopologyOptions options;
+  options.bolt_service_ms = 1.0;
+  options.transport_rate_per_s = 4000;
+  options.max_pending_per_spout = 50;
+  options.hash_seed = 5;
+  options.seed = 11;
+  return options;
+}
+
+Result<TopologyStats> RunCluster(AlgorithmKind algorithm, double z,
+                                 uint32_t sources = 8, uint32_t workers = 20,
+                                 uint64_t messages = 20000) {
+  TopologyBuilder builder;
+  builder.AddSpout("src", [=](uint32_t i) {
+    return std::make_unique<ZipfSpout>(z, 2000, messages / sources, 11 + i);
+  }, sources);
+  builder.AddBolt("workers",
+                  [](uint32_t) { return std::make_unique<CountBolt>(); },
+                  workers)
+      .Input("src", Grouping{algorithm, {}});
+  return ExecuteTopology(builder.Build(), ClusterOptions());
+}
+
 TEST(TopologyValidationTest, RejectsEmptyTopology) {
   TopologyBuilder builder;
   EXPECT_FALSE(ExecuteTopology(builder.Build(), FastOptions()).ok());
+}
+
+TEST(TopologyValidationTest, RejectsBadOptions) {
+  TopologyBuilder builder;
+  builder.AddSpout("src", [](uint32_t) {
+    return std::make_unique<ZipfSpout>(1.0, 10, 5, 1);
+  }, 1);
+  builder.AddBolt("sink", [](uint32_t) { return std::make_unique<CountBolt>(); },
+                  1)
+      .Input("src", Grouping::Shuffle());
+  for (int bad = 0; bad < 3; ++bad) {
+    TopologyOptions options = FastOptions();
+    if (bad == 0) options.bolt_service_ms = 0;
+    if (bad == 1) options.transport_rate_per_s = 0;
+    if (bad == 2) options.max_pending_per_spout = 0;
+    EXPECT_FALSE(ExecuteTopology(builder.Build(), options).ok()) << bad;
+  }
 }
 
 TEST(TopologyValidationTest, RejectsDuplicateNames) {
@@ -252,9 +322,114 @@ TEST(TopologyExecutionTest, MultiStagePipelineLatencyOrdering) {
                   2).Input("a", Grouping::Pkg());
   auto stats = ExecuteTopology(builder.Build(), FastOptions());
   ASSERT_TRUE(stats.ok());
-  // Tree latency >= 2 bolt service times + spout service.
-  EXPECT_GE(stats->latency_p50_ms, 2 * 0.05 + 0.01 - 1e-9);
+  // Tree latency >= 2 bolt service times + 2 transport hops.
+  EXPECT_GE(stats->latency_p50_ms, 2 * 0.05 + 2 * 0.01 - 1e-9);
   EXPECT_LE(stats->latency_p50_ms, stats->latency_p99_ms);
+}
+
+TEST(TopologyExecutionTest, LatencyIsAtLeastTransportPlusService) {
+  auto stats = RunCluster(AlgorithmKind::kShuffleGrouping, 1.4);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // Every tuple pays transport (0.25 ms) + worker service (1 ms).
+  EXPECT_GE(stats->latency_p50_ms, 1.25 - 1e-9);
+  EXPECT_GE(stats->latency_max_ms, stats->latency_p99_ms);
+  EXPECT_GE(stats->latency_p99_ms, stats->latency_p50_ms);
+}
+
+TEST(TopologyExecutionTest, HeadAwareAlgorithmsMatchShuffleThroughput) {
+  auto sg = RunCluster(AlgorithmKind::kShuffleGrouping, 2.0);
+  auto dc = RunCluster(AlgorithmKind::kDChoices, 2.0);
+  auto wc = RunCluster(AlgorithmKind::kWChoices, 2.0);
+  ASSERT_TRUE(sg.ok());
+  ASSERT_TRUE(dc.ok());
+  ASSERT_TRUE(wc.ok());
+  EXPECT_GT(dc->throughput_per_s, 0.85 * sg->throughput_per_s);
+  EXPECT_GT(wc->throughput_per_s, 0.85 * sg->throughput_per_s);
+}
+
+TEST(TopologyExecutionTest, WorkerAverageLatencyPercentilesOrdered) {
+  auto stats = RunCluster(AlgorithmKind::kPkg, 1.4);
+  ASSERT_TRUE(stats.ok());
+  const ComponentStats& workers = stats->components[1];
+  ASSERT_EQ(workers.task_latency_avg_ms.size(), 20u);
+  Histogram across_workers(0, 1);
+  for (size_t i = 0; i < workers.task_latency_avg_ms.size(); ++i) {
+    if (workers.task_loads[i] == 0) continue;
+    EXPECT_GE(workers.task_latency_avg_ms[i], 1.25 - 1e-9);
+    across_workers.Add(workers.task_latency_avg_ms[i]);
+  }
+  EXPECT_LE(across_workers.p50(), across_workers.p95());
+  EXPECT_LE(across_workers.p95(), across_workers.p99());
+  EXPECT_LE(across_workers.p99(), across_workers.max() + 1e-9);
+  // Spouts complete nothing downstream of themselves.
+  for (double avg : stats->components[0].task_latency_avg_ms) {
+    EXPECT_EQ(avg, 0.0);
+  }
+}
+
+TEST(TopologyExecutionTest, SingleSourceSingleWorker) {
+  auto stats = RunCluster(AlgorithmKind::kShuffleGrouping, 1.4, 1, 1, 100);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->roots_acked, 100u);
+  // Single worker at 1 ms/tuple: makespan >= 0.1 s.
+  EXPECT_GE(stats->makespan_s, 0.099);
+}
+
+// The Figs. 13-14 imbalance columns: on a round-robin split of one stream,
+// with the partition simulator seeded by the topology's edge hash seed,
+// every sender routes identically, so ExecuteTopology's worker imbalance
+// and load vector equal RunPartitionSimulation's final ones.
+TEST(TopologyExecutionTest, WorkerImbalanceMatchesPartitionSimulator) {
+  static constexpr uint32_t kSources = 4;
+  static constexpr uint32_t kWorkers = 10;
+  static constexpr uint64_t kBaseHashSeed = 42;
+  SyntheticStreamGenerator::Options stream_options;
+  stream_options.zipf_exponent = 1.6;
+  stream_options.num_keys = 1000;
+  stream_options.num_messages = 20000;
+  stream_options.seed = 77;
+
+  SyntheticStreamGenerator stream(stream_options);
+  auto keys = std::make_shared<std::vector<uint64_t>>();
+  for (uint64_t i = 0; i < stream_options.num_messages; ++i) {
+    keys->push_back(stream.NextKey());
+  }
+  std::shared_ptr<const std::vector<uint64_t>> shared = keys;
+
+  for (AlgorithmKind algorithm :
+       {AlgorithmKind::kKeyGrouping, AlgorithmKind::kPkg,
+        AlgorithmKind::kDChoices, AlgorithmKind::kWChoices}) {
+    SCOPED_TRACE(AlgorithmKindName(algorithm));
+    TopologyBuilder builder;
+    builder.AddSpout("sources", [shared](uint32_t task) {
+      return std::make_unique<VectorSpout>(shared, task, kSources);
+    }, kSources);
+    builder.AddBolt("workers",
+                    [](uint32_t) { return std::make_unique<CountBolt>(); },
+                    kWorkers)
+        .Input("sources", Grouping{algorithm, {}});
+    TopologyOptions options = FastOptions();
+    options.hash_seed = kBaseHashSeed;
+    auto topo = ExecuteTopology(builder.Build(), options);
+    ASSERT_TRUE(topo.ok()) << topo.status().ToString();
+
+    PartitionSimConfig config;
+    config.algorithm = algorithm;
+    config.partitioner.num_workers = kWorkers;
+    config.partitioner.hash_seed = EdgeHashSeed(kBaseHashSeed, 0, 0);
+    config.num_sources = kSources;
+    stream.Reset();
+    auto sim = RunPartitionSimulation(config, &stream);
+    ASSERT_TRUE(sim.ok()) << sim.status().ToString();
+
+    const ComponentStats& workers = topo->components[1];
+    EXPECT_GT(sim->final_imbalance, 0.0);
+    EXPECT_DOUBLE_EQ(workers.imbalance, sim->final_imbalance);
+    ASSERT_EQ(workers.task_loads.size(), sim->worker_loads.size());
+    for (size_t i = 0; i < workers.task_loads.size(); ++i) {
+      EXPECT_DOUBLE_EQ(workers.task_loads[i], sim->worker_loads[i]) << i;
+    }
+  }
 }
 
 }  // namespace

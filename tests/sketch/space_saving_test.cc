@@ -195,6 +195,58 @@ TEST(SpaceSavingMergeTest, PreservesOverestimateInvariant) {
   EXPECT_GT(a.Estimate(0), 0u);
 }
 
+// Distributed head tracking as the paper runs it: every source keeps its own
+// SpaceSaving summary and the global head is their merge.
+SpaceSaving MergeAll(const std::vector<SpaceSaving>& per_source) {
+  SpaceSaving global = per_source.front();
+  for (size_t s = 1; s < per_source.size(); ++s) global.Merge(per_source[s]);
+  return global;
+}
+
+TEST(DistributedTrackerTest, HotKeyAtOneSourceVisibleGlobally) {
+  // A key hot at ONLY source 3 must appear in the global head after the
+  // merge, even though other sources never see it.
+  const uint32_t sources = 4;
+  std::vector<SpaceSaving> per_source(sources, SpaceSaving(64));
+  Rng rng(5);
+  for (int round = 0; round < 2000; ++round) {
+    for (uint32_t s = 0; s < sources; ++s) {
+      if (s == 3 && rng.NextBool(0.5)) {
+        per_source[s].UpdateAndEstimate(777);  // hot only at source 3
+      } else {
+        per_source[s].UpdateAndEstimate(rng.NextBounded(5000));
+      }
+    }
+  }
+  const SpaceSaving global = MergeAll(per_source);
+  // Key 777 holds ~12.5% of the global stream.
+  EXPECT_GE(static_cast<double>(global.Estimate(777)),
+            0.05 * static_cast<double>(global.total()))
+      << "the merged head must learn about source 3's hot key";
+  const auto heavy = global.HeavyHitters(0.05);
+  EXPECT_TRUE(std::any_of(heavy.begin(), heavy.end(),
+                          [](const HeavyKey& hk) { return hk.key == 777; }));
+}
+
+TEST(DistributedTrackerTest, EstimateNeverUndercountsSkewedStreams) {
+  const uint32_t sources = 3;
+  std::vector<SpaceSaving> per_source(sources, SpaceSaving(100));
+  ZipfDistribution zipf(1.5, 2000);
+  Rng rng(9);
+  std::map<uint64_t, uint64_t> truth;
+  for (int i = 0; i < 30000; ++i) {
+    const uint64_t key = zipf.Sample(&rng);
+    ++truth[key];
+    per_source[static_cast<uint32_t>(i % sources)].UpdateAndEstimate(key);
+  }
+  const SpaceSaving global = MergeAll(per_source);
+  EXPECT_EQ(global.total(), 30000u);
+  for (const auto& [key, count] : truth) {
+    if (count < 300) continue;  // clearly-tracked keys only
+    EXPECT_GE(global.Estimate(key), count) << "key " << key;
+  }
+}
+
 TEST(SpaceSavingMergeTest, MergeIntoEmpty) {
   SpaceSaving a(10);
   SpaceSaving b(10);
